@@ -15,6 +15,9 @@
 #   make test-crash   durability suite under the race detector: WAL
 #                     append/replay/rotation, crash-recovery equivalence
 #                     property, daemon restart, FuzzWALReplay seed corpus
+#   make perfbench-check
+#                     vet + test the nested perfbench/ benchmark module
+#   make loc          non-test Go line count (tracked files outside perfbench/)
 
 GO ?= go
 # BENCHTIME feeds -benchtime: the default 1s gives stable numbers; CI
@@ -24,9 +27,9 @@ BENCHTIME ?= 1s
 BENCHOUT ?= BENCH_PR10.json
 BENCHBASE ?= BENCH_PR9.json
 
-.PHONY: check vet build test race bench benchdiff benchgate smoke smoke-daemon loadtest test-faults test-crash fmt
+.PHONY: check vet build test race bench benchdiff benchgate smoke smoke-daemon loadtest test-faults test-crash perfbench-check loc fmt
 
-check: vet build race test-faults test-crash smoke smoke-daemon
+check: vet build race test-faults test-crash perfbench-check smoke smoke-daemon
 
 vet:
 	$(GO) vet ./...
@@ -59,6 +62,17 @@ test-crash:
 	$(GO) test -race ./internal/wal ./internal/dataset
 	$(GO) test -race -run 'Durable|Recovery|Retention|SnapshotCompaction|DriftRearms|WALSync' \
 		./internal/server ./cmd/hdivexplorerd
+
+# perfbench-check compiles and tests the benchmark module. perfbench/ is
+# a nested module, so ./... above never reaches it, yet it builds against
+# the library's internal surface.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
+# loc prints the non-test Go line count of the tracked files outside the
+# benchmark module.
+loc:
+	@git ls-files '*.go' ':!:*_test.go' ':!:perfbench/*' | xargs cat | wc -l
 
 # bench runs the full suite and also writes $(BENCHOUT): a JSON record
 # per benchmark (name, iterations, ns/op, B/op, allocs/op and custom

@@ -228,16 +228,9 @@ func run(c cliConfig) error {
 	}
 	stopProgress := startProgressTicker(c.stderr, prog)
 	var reps []*hdiv.Report
-	if len(outs) == 1 {
-		var rep *hdiv.Report
-		rep, err = hdiv.Pipeline(tab, outs[0], opt)
-		reps = []*hdiv.Report{rep}
-	} else {
-		var b *hdiv.OutcomeBundle
-		b, err = hdiv.NewOutcomeBundle(outs...)
-		if err == nil {
-			reps, err = hdiv.PipelineMulti(tab, b, opt)
-		}
+	b, err := hdiv.NewOutcomeBundle(outs...)
+	if err == nil {
+		reps, err = hdiv.PipelineMulti(tab, b, opt)
 	}
 	stopProgress()
 	if err != nil {

@@ -28,10 +28,14 @@
 // types; the internal packages contain the implementations.
 //
 // Long-running callers use the Context variants — PipelineContext,
-// ExploreContext, ExploreUniverseContext — whose context is checked
-// between pipeline stages and polled at candidate granularity inside the
-// miners, so cancellation and deadlines take effect promptly without
-// affecting completed results. The same machinery backs the HTTP service
-// (internal/server, cmd/hdivexplorerd), which caches discretized
-// hierarchies and mining universes across requests.
+// ExploreContext, ExploreUniverseContext and their Multi forms. Every
+// Explore and Pipeline entry point runs one exploration path: a
+// single-statistic call is a bundle of one, so its report is
+// byte-identical to the primary report of the multi-statistic call by
+// construction. The context is checked before hierarchy assembly and
+// once when the exploration starts, then polled at candidate granularity
+// inside the miners, so cancellation and deadlines take effect promptly
+// without affecting completed results. The same path backs the HTTP
+// service (internal/server, cmd/hdivexplorerd), which caches the
+// assembled hierarchies and mining universes across requests.
 package hdivexplorer

@@ -314,15 +314,14 @@ func Pipeline(t *Table, o *Outcome, opt PipelineOptions) (*Report, error) {
 // PipelineContext is Pipeline with cancellation: the context is checked
 // between pipeline stages and polled at candidate granularity inside the
 // miners, so a cancelled or timed-out context aborts the run promptly
-// with an error wrapping ctx.Err().
+// with an error wrapping ctx.Err(). It is PipelineMultiContext with a
+// bundle of one.
 func PipelineContext(ctx context.Context, t *Table, o *Outcome, opt PipelineOptions) (*Report, error) {
-	hs, cfg, err := pipelinePrepare(ctx, t, o, &opt)
+	reps, err := PipelineMultiContext(ctx, t, outcome.Single(o), opt)
 	if err != nil {
 		return nil, err
 	}
-	cfg.Outcome = o
-	cfg.Hierarchies = hs
-	return core.ExploreContext(ctx, t, cfg)
+	return reps[0], nil
 }
 
 // PipelineMulti runs the full pipeline once for a bundle of statistics:
@@ -334,62 +333,32 @@ func PipelineMulti(t *Table, b *OutcomeBundle, opt PipelineOptions) ([]*Report, 
 	return PipelineMultiContext(context.Background(), t, b, opt)
 }
 
-// PipelineMultiContext is PipelineMulti with cancellation.
+// PipelineMultiContext is PipelineMulti with cancellation. It applies the
+// pipeline defaults, builds the hierarchy set (tree discretization driven
+// by the primary outcome plus categorical hierarchies) and explores it.
 func PipelineMultiContext(ctx context.Context, t *Table, b *OutcomeBundle, opt PipelineOptions) ([]*Report, error) {
 	if b == nil || b.Len() == 0 {
 		return nil, fmt.Errorf("hdivexplorer: nil or empty outcome bundle")
 	}
-	hs, cfg, err := pipelinePrepare(ctx, t, b.Primary(), &opt)
-	if err != nil {
-		return nil, err
-	}
-	cfg.Hierarchies = hs
-	return core.ExploreMultiContext(ctx, t, cfg, b)
-}
-
-// pipelinePrepare applies pipeline defaults, builds the hierarchy set
-// (tree discretization driven by o plus categorical hierarchies) and
-// assembles the exploration config shared by the single- and
-// multi-statistic pipelines.
-func pipelinePrepare(ctx context.Context, t *Table, o *Outcome, opt *PipelineOptions) (*HierarchySet, core.Config, error) {
 	if opt.TreeSupport == 0 {
 		opt.TreeSupport = 0.1
 	}
 	if opt.MinSupport == 0 {
 		opt.MinSupport = 0.05
 	}
-	skip := map[string]bool{}
-	for _, e := range opt.Exclude {
-		if !t.HasColumn(e) {
-			return nil, core.Config{}, fmt.Errorf("hdivexplorer: excluded attribute %q not in table", e)
-		}
-		skip[e] = true
-	}
 	if err := ctx.Err(); err != nil {
-		return nil, core.Config{}, fmt.Errorf("hdivexplorer: pipeline cancelled: %w", err)
+		return nil, fmt.Errorf("hdivexplorer: pipeline cancelled: %w", err)
 	}
-	hs, err := discretize.TreeSet(t, o, discretize.TreeOptions{
+	hs, err := core.BuildHierarchies(t, b.Primary(), discretize.TreeOptions{
 		Criterion:  opt.Criterion,
 		MinSupport: opt.TreeSupport,
 		Tracer:     opt.Tracer,
-	}, opt.Exclude...)
+	}, opt.Taxonomies, opt.Exclude)
 	if err != nil {
-		return nil, core.Config{}, err
+		return nil, err
 	}
-	taxed := map[string]bool{}
-	for _, h := range opt.Taxonomies {
-		if skip[h.Attr] {
-			continue
-		}
-		hs.Add(h)
-		taxed[h.Attr] = true
-	}
-	for _, f := range t.Fields() {
-		if f.Kind == dataset.Categorical && !skip[f.Name] && !taxed[f.Name] {
-			hs.Add(hierarchy.FlatCategorical(t, f.Name))
-		}
-	}
-	return hs, core.Config{
+	return core.ExploreMultiContext(ctx, t, core.Config{
+		Hierarchies:   hs,
 		MinSupport:    opt.MinSupport,
 		MaxLen:        opt.MaxLen,
 		PolarityPrune: opt.PolarityPrune,
@@ -401,5 +370,5 @@ func pipelinePrepare(ctx context.Context, t *Table, o *Outcome, opt *PipelineOpt
 		Explain:       opt.Explain,
 		Tracer:        opt.Tracer,
 		Progress:      opt.Progress,
-	}, nil
+	}, b)
 }

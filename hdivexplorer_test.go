@@ -118,6 +118,9 @@ func TestPipelineExclude(t *testing.T) {
 	if _, err := Pipeline(tab, o, PipelineOptions{Exclude: []string{"missing"}}); err == nil {
 		t.Error("excluding a missing attribute should fail")
 	}
+	if _, err := Pipeline(tab, nil, PipelineOptions{}); err == nil {
+		t.Error("nil outcome should fail")
+	}
 }
 
 func TestPipelineTaxonomies(t *testing.T) {

@@ -95,18 +95,30 @@ type Config struct {
 	// shard split, budget consumption) to the report. A nil Tracer is
 	// upgraded to a fresh one so Explain is self-sufficient.
 	Explain bool
-
-	// span nests exploration under an enclosing span (internal).
-	span *obs.Span
 }
 
-// ensureExplainTracer upgrades a nil tracer to a fresh one when an
-// explain profile was requested, so Explain works without the caller
-// wiring observability explicitly.
-func (cfg *Config) ensureExplainTracer() {
-	if cfg.Explain && cfg.Tracer == nil && cfg.span == nil {
-		cfg.Tracer = obs.New()
+// builder returns the universe constructor mode m explores: every
+// hierarchy item for Hierarchical, hierarchy leaves only for Base.
+func (m Mode) builder() (func(*dataset.Table, *hierarchy.Set, *outcome.Outcome) *fpm.Universe, error) {
+	switch m {
+	case Hierarchical:
+		return fpm.GeneralizedUniverse, nil
+	case Base:
+		return fpm.BaseUniverse, nil
+	default:
+		return nil, fmt.Errorf("core: unknown mode %v", m)
 	}
+}
+
+// Universe builds the item universe mode m explores over the hierarchy
+// set, with polarities from o. The serving layer caches its result per
+// mode; Explore builds it per call.
+func (m Mode) Universe(t *dataset.Table, hs *hierarchy.Set, o *outcome.Outcome) (*fpm.Universe, error) {
+	build, err := m.builder()
+	if err != nil {
+		return nil, err
+	}
+	return build(t, hs, o), nil
 }
 
 // Subgroup is one explored data subgroup.
@@ -178,43 +190,7 @@ func Explore(t *dataset.Table, cfg Config) (*Report, error) {
 // exploration return promptly with an error wrapping ctx.Err(). A
 // context.Background() ctx behaves exactly like Explore.
 func ExploreContext(ctx context.Context, t *dataset.Table, cfg Config) (*Report, error) {
-	if cfg.Outcome == nil {
-		return nil, fmt.Errorf("core: Config.Outcome is nil")
-	}
-	if cfg.Hierarchies == nil {
-		return nil, fmt.Errorf("core: Config.Hierarchies is nil")
-	}
-	if err := cfg.Hierarchies.Validate(); err != nil {
-		return nil, fmt.Errorf("core: invalid hierarchies: %w", err)
-	}
-	switch cfg.Mode {
-	case Hierarchical, Base:
-	default:
-		return nil, fmt.Errorf("core: unknown mode %v", cfg.Mode)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("core: exploration cancelled: %w", err)
-	}
-	cfg.ensureExplainTracer()
-	if id := obs.RequestIDFrom(ctx); id != "" {
-		cfg.Tracer.SetID(id)
-	}
-	span := cfg.Tracer.Start(obs.SpanExplore)
-	cfg.span = span
-	us := span.Start(obs.SpanUniverse)
-	var u *fpm.Universe
-	if cfg.Mode == Hierarchical {
-		u = fpm.GeneralizedUniverse(t, cfg.Hierarchies, cfg.Outcome)
-	} else {
-		u = fpm.BaseUniverse(t, cfg.Hierarchies, cfg.Outcome)
-	}
-	us.End()
-	rep, err := exploreUniverse(ctx, u, cfg)
-	span.End()
-	if err == nil {
-		rep.snapshotTrace(cfg.Tracer, cfg.Explain)
-	}
-	return rep, err
+	return first(explore(ctx, t, nil, cfg, outcome.Single(cfg.Outcome)))
 }
 
 // ExploreUniverse runs the exploration over a prebuilt item universe; use
@@ -228,24 +204,7 @@ func ExploreUniverse(u *fpm.Universe, cfg Config) (*Report, error) {
 // cancelled run leaves it valid for reuse (the serving layer relies on
 // this to keep cached universes intact across aborted requests).
 func ExploreUniverseContext(ctx context.Context, u *fpm.Universe, cfg Config) (*Report, error) {
-	span := cfg.span
-	owned := span == nil // Explore manages the span (and snapshot) itself
-	if owned {
-		cfg.ensureExplainTracer()
-		if id := obs.RequestIDFrom(ctx); id != "" {
-			cfg.Tracer.SetID(id)
-		}
-		span = cfg.Tracer.Start(obs.SpanExplore)
-		cfg.span = span
-	}
-	rep, err := exploreUniverse(ctx, u, cfg)
-	if owned {
-		span.End()
-		if err == nil {
-			rep.snapshotTrace(cfg.Tracer, cfg.Explain)
-		}
-	}
-	return rep, err
+	return first(explore(ctx, nil, u, cfg, outcome.Single(cfg.Outcome)))
 }
 
 // ExploreMulti runs the exploration once for a bundle of statistics: the
@@ -264,44 +223,7 @@ func ExploreMulti(t *dataset.Table, cfg Config, b *outcome.Bundle) ([]*Report, e
 
 // ExploreMultiContext is ExploreMulti with cancellation.
 func ExploreMultiContext(ctx context.Context, t *dataset.Table, cfg Config, b *outcome.Bundle) ([]*Report, error) {
-	if b == nil || b.Len() == 0 {
-		return nil, fmt.Errorf("core: empty outcome bundle")
-	}
-	cfg.Outcome = b.Primary()
-	if cfg.Hierarchies == nil {
-		return nil, fmt.Errorf("core: Config.Hierarchies is nil")
-	}
-	if err := cfg.Hierarchies.Validate(); err != nil {
-		return nil, fmt.Errorf("core: invalid hierarchies: %w", err)
-	}
-	switch cfg.Mode {
-	case Hierarchical, Base:
-	default:
-		return nil, fmt.Errorf("core: unknown mode %v", cfg.Mode)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("core: exploration cancelled: %w", err)
-	}
-	cfg.ensureExplainTracer()
-	if id := obs.RequestIDFrom(ctx); id != "" {
-		cfg.Tracer.SetID(id)
-	}
-	span := cfg.Tracer.Start(obs.SpanExplore)
-	cfg.span = span
-	us := span.Start(obs.SpanUniverse)
-	var u *fpm.Universe
-	if cfg.Mode == Hierarchical {
-		u = fpm.GeneralizedUniverse(t, cfg.Hierarchies, cfg.Outcome)
-	} else {
-		u = fpm.BaseUniverse(t, cfg.Hierarchies, cfg.Outcome)
-	}
-	us.End()
-	reps, err := exploreUniverseMulti(ctx, u, cfg, b)
-	span.End()
-	if err == nil {
-		snapshotTraceAll(reps, cfg.Tracer, cfg.Explain)
-	}
-	return reps, err
+	return explore(ctx, t, nil, cfg, b)
 }
 
 // ExploreUniverseMultiContext is ExploreMultiContext over a prebuilt item
@@ -309,65 +231,90 @@ func ExploreMultiContext(ctx context.Context, t *dataset.Table, cfg Config, b *o
 // cached universes. The universe must have been built against the
 // bundle's primary outcome for polarity pruning to be meaningful.
 func ExploreUniverseMultiContext(ctx context.Context, u *fpm.Universe, cfg Config, b *outcome.Bundle) ([]*Report, error) {
-	if b == nil || b.Len() == 0 {
-		return nil, fmt.Errorf("core: empty outcome bundle")
-	}
-	cfg.Outcome = b.Primary()
-	span := cfg.span
-	owned := span == nil
-	if owned {
-		cfg.ensureExplainTracer()
-		if id := obs.RequestIDFrom(ctx); id != "" {
-			cfg.Tracer.SetID(id)
-		}
-		span = cfg.Tracer.Start(obs.SpanExplore)
-		cfg.span = span
-	}
-	reps, err := exploreUniverseMulti(ctx, u, cfg, b)
-	if owned {
-		span.End()
-		if err == nil {
-			snapshotTraceAll(reps, cfg.Tracer, cfg.Explain)
-		}
-	}
-	return reps, err
+	return explore(ctx, nil, u, cfg, b)
 }
 
-// snapshotTraceAll attaches one tracer snapshot (and, when requested,
-// one shared explain profile) to every report.
-func snapshotTraceAll(reps []*Report, t *obs.Tracer, explain bool) {
-	if t == nil {
-		return
-	}
-	trace := t.Snapshot()
-	var ex *obs.Explain
-	if explain {
-		ex = obs.NewExplain(trace)
-	}
-	for _, r := range reps {
-		r.Trace = trace
-		r.Explain = ex
-	}
-}
-
-// exploreUniverse is the shared mining+ranking body; cfg.span (possibly
-// nil) encloses the emitted spans. It is the bundle-of-one special case of
-// exploreUniverseMulti, so single- and multi-statistic explorations share
-// one code path and cannot diverge.
-func exploreUniverse(ctx context.Context, u *fpm.Universe, cfg Config) (*Report, error) {
-	reps, err := exploreUniverseMulti(ctx, u, cfg, outcome.Single(cfg.Outcome))
+// first returns the single report of a bundle-of-one exploration.
+func first(reps []*Report, err error) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
 	return reps[0], nil
 }
 
-// exploreUniverseMulti mines the universe once for every statistic of the
-// bundle and builds one ranked report per statistic. The reports share
-// the lattice, supports and mining stats; each is sorted by its own
-// statistic's |divergence|.
-func exploreUniverseMulti(ctx context.Context, u *fpm.Universe, cfg Config, b *outcome.Bundle) ([]*Report, error) {
+// explore is the one exploration recipe behind every Explore* entry
+// point; single-statistic explorations are bundles of one, so their
+// reports are byte-identical to a bundle's primary by construction. It
+// validates the bundle (and, when u is nil, the table, hierarchies and
+// mode it builds the universe from), checks ctx, opens the explore span,
+// builds the universe for cfg.Mode when u is nil, mines the lattice once
+// for every statistic, ranks one report per statistic and attaches one
+// trace/explain snapshot to all of them. cfg.Outcome is ignored.
+func explore(ctx context.Context, t *dataset.Table, u *fpm.Universe, cfg Config, b *outcome.Bundle) ([]*Report, error) {
+	if b == nil || b.Len() == 0 {
+		return nil, fmt.Errorf("core: empty outcome bundle")
+	}
+	for i, o := range b.Outcomes() {
+		if o == nil {
+			return nil, fmt.Errorf("core: nil outcome at bundle position %d", i)
+		}
+	}
+	var build func(*dataset.Table, *hierarchy.Set, *outcome.Outcome) *fpm.Universe
+	if u == nil {
+		if t == nil {
+			return nil, fmt.Errorf("core: no table or universe to explore")
+		}
+		if cfg.Hierarchies == nil {
+			return nil, fmt.Errorf("core: Config.Hierarchies is nil")
+		}
+		if err := cfg.Hierarchies.Validate(); err != nil {
+			return nil, fmt.Errorf("core: invalid hierarchies: %w", err)
+		}
+		var err error
+		if build, err = cfg.Mode.builder(); err != nil {
+			return nil, err
+		}
+	}
 	defer cfg.Progress.Finish()
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("core: exploration cancelled: %w", err)
+	}
+	if cfg.Explain && cfg.Tracer == nil {
+		cfg.Tracer = obs.New()
+	}
+	if id := obs.RequestIDFrom(ctx); id != "" {
+		cfg.Tracer.SetID(id)
+	}
+	span := cfg.Tracer.Start(obs.SpanExplore)
+	if build != nil {
+		us := span.Start(obs.SpanUniverse)
+		u = build(t, cfg.Hierarchies, b.Primary())
+		us.End()
+	}
+	reps, err := mineAndRank(ctx, u, cfg, b, span)
+	span.End()
+	if err != nil {
+		return nil, err
+	}
+	if cfg.Tracer != nil {
+		trace := cfg.Tracer.Snapshot()
+		var ex *obs.Explain
+		if cfg.Explain {
+			ex = obs.NewExplain(trace)
+		}
+		for _, r := range reps {
+			r.Trace = trace
+			r.Explain = ex
+		}
+	}
+	return reps, nil
+}
+
+// mineAndRank mines the universe once for every statistic of the bundle,
+// under span, and builds one ranked report per statistic. The reports
+// share the lattice, supports and mining stats; each is sorted by its
+// own statistic's |divergence|.
+func mineAndRank(ctx context.Context, u *fpm.Universe, cfg Config, b *outcome.Bundle, span *obs.Span) ([]*Report, error) {
 	if tr := cfg.Tracer; tr != nil {
 		// Universe representation gauges feed the explain memory section;
 		// deterministic for a fixed dataset and item set.
@@ -391,7 +338,7 @@ func exploreUniverseMulti(ctx context.Context, u *fpm.Universe, cfg Config, b *o
 		Shards:        cfg.Shards,
 		Budget:        cfg.Budget,
 		Tracer:        cfg.Tracer,
-		TraceParent:   cfg.span,
+		TraceParent:   span,
 		Progress:      cfg.Progress,
 	})
 	if err != nil {
@@ -399,10 +346,7 @@ func exploreUniverseMulti(ctx context.Context, u *fpm.Universe, cfg Config, b *o
 	}
 	elapsed := time.Since(start)
 
-	rank := cfg.span.Start(obs.SpanRank)
-	if rank == nil {
-		rank = cfg.Tracer.Start(obs.SpanRank)
-	}
+	rank := span.Start(obs.SpanRank)
 	defer rank.End()
 	reps := make([]*Report, b.Len())
 	for k := range reps {
@@ -442,19 +386,6 @@ func exploreUniverseMulti(ctx context.Context, u *fpm.Universe, cfg Config, b *o
 		reps[k] = rep
 	}
 	return reps, nil
-}
-
-// snapshotTrace attaches the tracer's snapshot — and, when requested,
-// the explain profile computed from it — to the report (no-op on a nil
-// tracer).
-func (r *Report) snapshotTrace(t *obs.Tracer, explain bool) {
-	if t == nil {
-		return
-	}
-	r.Trace = t.Snapshot()
-	if explain {
-		r.Explain = obs.NewExplain(r.Trace)
-	}
 }
 
 // TopK returns the k subgroups with largest |divergence| (fewer if the

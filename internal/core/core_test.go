@@ -151,6 +151,12 @@ func TestExploreConfigErrors(t *testing.T) {
 	if _, err := Explore(tab, Config{Hierarchies: hs, MinSupport: 0.1}); err == nil {
 		t.Error("nil outcome should fail")
 	}
+	if _, err := ExploreUniverse(fpm.GeneralizedUniverse(tab, hs, o), Config{MinSupport: 0.1}); err == nil {
+		t.Error("nil outcome over a prebuilt universe should fail")
+	}
+	if _, err := ExploreMulti(tab, Config{Hierarchies: hs, MinSupport: 0.1}, outcome.Single(nil)); err == nil {
+		t.Error("nil bundle outcome should fail")
+	}
 	if _, err := Explore(tab, Config{Outcome: o, MinSupport: 0.1}); err == nil {
 		t.Error("nil hierarchies should fail")
 	}

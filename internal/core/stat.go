@@ -5,6 +5,8 @@ import (
 	"strings"
 
 	"repro/internal/dataset"
+	"repro/internal/discretize"
+	"repro/internal/hierarchy"
 	"repro/internal/outcome"
 )
 
@@ -52,6 +54,43 @@ func BuildStatistic(tab *dataset.Table, stat, actualCol, predCol, targetCol stri
 	default:
 		return nil, nil, fmt.Errorf("unknown statistic %q", stat)
 	}
+}
+
+// BuildHierarchies assembles the hierarchy set explored over a table: a
+// divergence-aware tree hierarchy driven by o for every continuous
+// attribute, the given taxonomies for their categorical attributes, and
+// a flat hierarchy for every other categorical attribute. Attributes in
+// exclude (which must exist in the table) are left out entirely. It is
+// the single hierarchy-assembly path shared by the pipeline (and through
+// it the CLI) and the HTTP server, so both build identical universes.
+func BuildHierarchies(tab *dataset.Table, o *outcome.Outcome, tree discretize.TreeOptions, taxonomies []*hierarchy.Hierarchy, exclude []string) (*hierarchy.Set, error) {
+	if o == nil {
+		return nil, fmt.Errorf("core: nil outcome")
+	}
+	skip := map[string]bool{}
+	for _, e := range exclude {
+		if !tab.HasColumn(e) {
+			return nil, fmt.Errorf("core: excluded attribute %q not in table", e)
+		}
+		skip[e] = true
+	}
+	hs, err := discretize.TreeSet(tab, o, tree, exclude...)
+	if err != nil {
+		return nil, err
+	}
+	taxed := map[string]bool{}
+	for _, h := range taxonomies {
+		if !skip[h.Attr] {
+			hs.Add(h)
+			taxed[h.Attr] = true
+		}
+	}
+	for _, f := range tab.Fields() {
+		if f.Kind == dataset.Categorical && !skip[f.Name] && !taxed[f.Name] {
+			hs.Add(hierarchy.FlatCategorical(tab, f.Name))
+		}
+	}
+	return hs, nil
 }
 
 // BoolColumn reads a column as booleans: numeric columns treat nonzero as

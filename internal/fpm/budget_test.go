@@ -9,6 +9,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/faultinject"
 	"repro/internal/obs"
+	"repro/internal/outcome"
 )
 
 func TestBudgetValidate(t *testing.T) {
@@ -38,11 +39,11 @@ func TestBudgetValidate(t *testing.T) {
 func TestBudgetGenerousMatchesUnbudgeted(t *testing.T) {
 	u, o := randomUniverse(t, 7, 400, true)
 	for _, alg := range []Algorithm{Apriori, FPGrowth} {
-		base, err := Mine(u, o, Options{MinSupport: 0.05, Algorithm: alg, Workers: 4})
+		base, err := MineMulti(u, outcome.Single(o), Options{MinSupport: 0.05, Algorithm: alg, Workers: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
-		big, err := Mine(u, o, Options{
+		big, err := MineMulti(u, outcome.Single(o), Options{
 			MinSupport: 0.05, Algorithm: alg, Workers: 4,
 			Budget: Budget{MaxCandidates: 1 << 30, MaxItemsets: 1 << 30, SoftDeadline: time.Hour},
 		})
@@ -80,7 +81,7 @@ func TestBudgetTruncationDeterministic(t *testing.T) {
 			for _, workers := range []int{1, 4} {
 				for _, shards := range []int{1, 4} {
 					label := fmt.Sprintf("%v/%s/w%d/s%d", alg, bc.name, workers, shards)
-					res, err := Mine(u, o, Options{
+					res, err := MineMulti(u, outcome.Single(o), Options{
 						MinSupport: 0.05, Algorithm: alg,
 						Workers: workers, Shards: shards, Budget: bc.b,
 					})
@@ -110,7 +111,7 @@ func TestBudgetTruncationDeterministic(t *testing.T) {
 				}
 			}
 			// A truncated run must be a genuine cut, not the full lattice.
-			full, err := Mine(u, o, Options{MinSupport: 0.05, Algorithm: alg})
+			full, err := MineMulti(u, outcome.Single(o), Options{MinSupport: 0.05, Algorithm: alg})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -164,7 +165,7 @@ func TestBudgetSoftDimensions(t *testing.T) {
 func TestMineSoftDeadlineTruncates(t *testing.T) {
 	u, o := randomUniverse(t, 13, 400, true)
 	for _, alg := range []Algorithm{Apriori, FPGrowth} {
-		res, err := Mine(u, o, Options{
+		res, err := MineMulti(u, outcome.Single(o), Options{
 			MinSupport: 0.05, Algorithm: alg, Workers: 4,
 			Budget: Budget{SoftDeadline: time.Nanosecond},
 		})
@@ -191,14 +192,14 @@ func TestMineFaultInjection(t *testing.T) {
 			if err := faultinject.Arm(site, "error(injected)"); err != nil {
 				t.Fatal(err)
 			}
-			_, err := Mine(u, o, Options{MinSupport: 0.05, Algorithm: alg, Workers: 4, Shards: 4})
+			_, err := MineMulti(u, outcome.Single(o), Options{MinSupport: 0.05, Algorithm: alg, Workers: 4, Shards: 4})
 			var fe *faultinject.Error
 			if !errors.As(err, &fe) || fe.Site != site {
 				t.Fatalf("%v/%s: want injected *faultinject.Error, got %v", alg, site, err)
 			}
 			faultinject.Reset()
 			// The same call with failpoints disarmed succeeds.
-			if _, err := Mine(u, o, Options{MinSupport: 0.05, Algorithm: alg, Workers: 4, Shards: 4}); err != nil {
+			if _, err := MineMulti(u, outcome.Single(o), Options{MinSupport: 0.05, Algorithm: alg, Workers: 4, Shards: 4}); err != nil {
 				t.Fatalf("%v/%s: disarmed run failed: %v", alg, site, err)
 			}
 		}
@@ -208,7 +209,7 @@ func TestMineFaultInjection(t *testing.T) {
 			t.Fatal(err)
 		}
 		tr := obs.New()
-		_, err := Mine(u, o, Options{MinSupport: 0.05, Algorithm: alg, Workers: 4, Tracer: tr})
+		_, err := MineMulti(u, outcome.Single(o), Options{MinSupport: 0.05, Algorithm: alg, Workers: 4, Tracer: tr})
 		var pe *engine.PanicError
 		if !errors.As(err, &pe) {
 			t.Fatalf("%v: want *engine.PanicError, got %v", alg, err)
@@ -228,7 +229,7 @@ func TestMineFaultInjection(t *testing.T) {
 func TestBudgetExhaustionCounted(t *testing.T) {
 	u, o := randomUniverse(t, 19, 400, true)
 	tr := obs.New()
-	res, err := Mine(u, o, Options{
+	res, err := MineMulti(u, outcome.Single(o), Options{
 		MinSupport: 0.05, Algorithm: FPGrowth, Tracer: tr,
 		Budget: Budget{MaxItemsets: 5},
 	})

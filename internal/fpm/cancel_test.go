@@ -5,6 +5,8 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"repro/internal/outcome"
 )
 
 // TestMineCancelledBeforeStart checks that an already-cancelled context
@@ -14,7 +16,7 @@ func TestMineCancelledBeforeStart(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, alg := range []Algorithm{Apriori, FPGrowth} {
-		_, err := Mine(u, o, Options{Ctx: ctx, MinSupport: 0.05, Algorithm: alg})
+		_, err := MineMulti(u, outcome.Single(o), Options{Ctx: ctx, MinSupport: 0.05, Algorithm: alg})
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("%v: err = %v, want context.Canceled", alg, err)
 		}
@@ -34,7 +36,7 @@ func TestMineCancelMidMine(t *testing.T) {
 				cancel()
 			}()
 			start := time.Now()
-			res, err := Mine(u, o, Options{Ctx: ctx, MinSupport: 0.001, Algorithm: alg, Workers: workers})
+			res, err := MineMulti(u, outcome.Single(o), Options{Ctx: ctx, MinSupport: 0.001, Algorithm: alg, Workers: workers})
 			elapsed := time.Since(start)
 			cancel()
 			if err == nil {
@@ -61,7 +63,7 @@ func TestMineDeadlineExceeded(t *testing.T) {
 	u, o := randomUniverse(t, 3, 4000, true)
 	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
-	_, err := Mine(u, o, Options{Ctx: ctx, MinSupport: 0.001, Algorithm: FPGrowth})
+	_, err := MineMulti(u, outcome.Single(o), Options{Ctx: ctx, MinSupport: 0.001, Algorithm: FPGrowth})
 	if err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("err = %v, want context.DeadlineExceeded (or completion)", err)
 	}
@@ -71,11 +73,11 @@ func TestMineDeadlineExceeded(t *testing.T) {
 // non-cancellable context changes nothing about the results.
 func TestMineUncancellableCtxMatchesNil(t *testing.T) {
 	u, o := randomUniverse(t, 5, 500, true)
-	plain, err := Mine(u, o, Options{MinSupport: 0.05})
+	plain, err := MineMulti(u, outcome.Single(o), Options{MinSupport: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
-	withCtx, err := Mine(u, o, Options{Ctx: context.Background(), MinSupport: 0.05})
+	withCtx, err := MineMulti(u, outcome.Single(o), Options{Ctx: context.Background(), MinSupport: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}

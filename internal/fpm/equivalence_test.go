@@ -53,7 +53,7 @@ func TestRankedEquivalenceProperty(t *testing.T) {
 						for _, alg := range []Algorithm{Apriori, FPGrowth} {
 							label := fmt.Sprintf("seed=%d gen=%v prune=%v workers=%d shards=%d %s",
 								seed, generalized, prune, workers, shards, alg)
-							res, err := Mine(u, o, Options{
+							res, err := MineMulti(u, outcome.Single(o), Options{
 								MinSupport: 0.05, PolarityPrune: prune,
 								Algorithm: alg, Workers: workers, Shards: shards,
 							})
@@ -107,7 +107,7 @@ func TestMineMultiMatchesIndependentMines(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			single, err := Mine(u, o, opt)
+			single, err := MineMulti(u, outcome.Single(o), opt)
 			if err != nil {
 				t.Fatal(err)
 			}

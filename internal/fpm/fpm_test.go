@@ -135,11 +135,11 @@ func TestAprioriMatchesFPGrowth(t *testing.T) {
 			for _, s := range []float64{0.02, 0.05, 0.1} {
 				name := fmt.Sprintf("gen=%v/prune=%v/s=%v", generalized, prune, s)
 				u, o := randomUniverse(t, 42, 800, generalized)
-				ra, err := Mine(u, o, Options{MinSupport: s, PolarityPrune: prune, Algorithm: Apriori})
+				ra, err := MineMulti(u, outcome.Single(o), Options{MinSupport: s, PolarityPrune: prune, Algorithm: Apriori})
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
-				rf, err := Mine(u, o, Options{MinSupport: s, PolarityPrune: prune, Algorithm: FPGrowth})
+				rf, err := MineMulti(u, outcome.Single(o), Options{MinSupport: s, PolarityPrune: prune, Algorithm: FPGrowth})
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
@@ -172,7 +172,7 @@ func TestMinersMatchBruteForce(t *testing.T) {
 			want := canonicalize(mineBrute(u, o, opt, minCount))
 			for _, alg := range []Algorithm{Apriori, FPGrowth} {
 				opt.Algorithm = alg
-				res, err := Mine(u, o, opt)
+				res, err := MineMulti(u, outcome.Single(o), opt)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -203,11 +203,11 @@ func TestGeneralizedSupersetGuarantee(t *testing.T) {
 	for _, s := range []float64{0.02, 0.05, 0.1} {
 		ub, o := randomUniverse(t, 99, 1000, false)
 		ug, _ := randomUniverse(t, 99, 1000, true)
-		rb, err := Mine(ub, o, Options{MinSupport: s})
+		rb, err := MineMulti(ub, outcome.Single(o), Options{MinSupport: s})
 		if err != nil {
 			t.Fatal(err)
 		}
-		rg, err := Mine(ug, o, Options{MinSupport: s})
+		rg, err := MineMulti(ug, outcome.Single(o), Options{MinSupport: s})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -231,11 +231,11 @@ func TestGeneralizedSupersetGuarantee(t *testing.T) {
 
 func TestPolarityPruneKeepsSingletons(t *testing.T) {
 	u, o := randomUniverse(t, 5, 500, true)
-	full, err := Mine(u, o, Options{MinSupport: 0.05})
+	full, err := MineMulti(u, outcome.Single(o), Options{MinSupport: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pruned, err := Mine(u, o, Options{MinSupport: 0.05, PolarityPrune: true})
+	pruned, err := MineMulti(u, outcome.Single(o), Options{MinSupport: 0.05, PolarityPrune: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +282,7 @@ func TestPolarityPruneKeepsSingletons(t *testing.T) {
 func TestMaxLen(t *testing.T) {
 	u, o := randomUniverse(t, 11, 500, true)
 	for _, alg := range []Algorithm{Apriori, FPGrowth} {
-		res, err := Mine(u, o, Options{MinSupport: 0.05, MaxLen: 2, Algorithm: alg})
+		res, err := MineMulti(u, outcome.Single(o), Options{MinSupport: 0.05, MaxLen: 2, Algorithm: alg})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -292,7 +292,7 @@ func TestMaxLen(t *testing.T) {
 			}
 		}
 		// MaxLen=2 results must equal the length ≤ 2 slice of the full run.
-		fullRes, err := Mine(u, o, Options{MinSupport: 0.05, Algorithm: alg})
+		fullRes, err := MineMulti(u, outcome.Single(o), Options{MinSupport: 0.05, Algorithm: alg})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -310,7 +310,7 @@ func TestMaxLen(t *testing.T) {
 
 func TestOneItemPerAttribute(t *testing.T) {
 	u, o := randomUniverse(t, 13, 600, true)
-	res, err := Mine(u, o, Options{MinSupport: 0.02})
+	res, err := MineMulti(u, outcome.Single(o), Options{MinSupport: 0.02})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +329,7 @@ func TestSupportMonotone(t *testing.T) {
 	u, o := randomUniverse(t, 17, 600, true)
 	prev := -1
 	for _, s := range []float64{0.2, 0.1, 0.05, 0.02} {
-		res, err := Mine(u, o, Options{MinSupport: s})
+		res, err := MineMulti(u, outcome.Single(o), Options{MinSupport: s})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -348,18 +348,21 @@ func TestSupportMonotone(t *testing.T) {
 
 func TestMineErrors(t *testing.T) {
 	u, o := randomUniverse(t, 1, 100, false)
-	if _, err := Mine(u, o, Options{MinSupport: 0}); err == nil {
+	if _, err := MineMulti(u, outcome.Single(o), Options{MinSupport: 0}); err == nil {
 		t.Error("MinSupport 0 should fail")
 	}
-	if _, err := Mine(u, o, Options{MinSupport: 1.5}); err == nil {
+	if _, err := MineMulti(u, outcome.Single(o), Options{MinSupport: 1.5}); err == nil {
 		t.Error("MinSupport > 1 should fail")
 	}
-	if _, err := Mine(u, o, Options{MinSupport: 0.1, Algorithm: Algorithm(9)}); err == nil {
+	if _, err := MineMulti(u, outcome.Single(o), Options{MinSupport: 0.1, Algorithm: Algorithm(9)}); err == nil {
 		t.Error("unknown algorithm should fail")
 	}
 	short := outcome.Numeric("x", []float64{1, 2, 3})
-	if _, err := Mine(u, short, Options{MinSupport: 0.1}); err == nil {
+	if _, err := MineMulti(u, outcome.Single(short), Options{MinSupport: 0.1}); err == nil {
 		t.Error("outcome length mismatch should fail")
+	}
+	if _, err := MineMulti(u, outcome.Single(nil), Options{MinSupport: 0.1}); err == nil {
+		t.Error("nil outcome should fail")
 	}
 }
 
@@ -393,7 +396,7 @@ func TestSupportHelper(t *testing.T) {
 
 func TestSortByDivergence(t *testing.T) {
 	u, o := randomUniverse(t, 23, 500, true)
-	res, err := Mine(u, o, Options{MinSupport: 0.05})
+	res, err := MineMulti(u, outcome.Single(o), Options{MinSupport: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -433,7 +436,7 @@ func TestAlgorithmString(t *testing.T) {
 // rows — the "no additional pass" bookkeeping is exact.
 func TestMinedMomentsMatchDirect(t *testing.T) {
 	u, o := randomUniverse(t, 31, 700, true)
-	res, err := Mine(u, o, Options{MinSupport: 0.05, Algorithm: FPGrowth})
+	res, err := MineMulti(u, outcome.Single(o), Options{MinSupport: 0.05, Algorithm: FPGrowth})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -458,12 +461,12 @@ func TestParallelMatchesSerial(t *testing.T) {
 	u, o := randomUniverse(t, 51, 900, true)
 	for _, alg := range []Algorithm{Apriori, FPGrowth} {
 		for _, prune := range []bool{false, true} {
-			serial, err := Mine(u, o, Options{MinSupport: 0.03, Algorithm: alg, PolarityPrune: prune})
+			serial, err := MineMulti(u, outcome.Single(o), Options{MinSupport: 0.03, Algorithm: alg, PolarityPrune: prune})
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{2, 4, 16} {
-				par, err := Mine(u, o, Options{MinSupport: 0.03, Algorithm: alg, PolarityPrune: prune, Workers: workers})
+				par, err := MineMulti(u, outcome.Single(o), Options{MinSupport: 0.03, Algorithm: alg, PolarityPrune: prune, Workers: workers})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -513,7 +516,7 @@ func BenchmarkMineFPGrowth(b *testing.B) {
 	u, o := benchUniverse(b, 20_000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Mine(u, o, Options{MinSupport: 0.05}); err != nil {
+		if _, err := MineMulti(u, outcome.Single(o), Options{MinSupport: 0.05}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -523,7 +526,7 @@ func BenchmarkMineApriori(b *testing.B) {
 	u, o := benchUniverse(b, 20_000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Mine(u, o, Options{MinSupport: 0.05, Algorithm: Apriori}); err != nil {
+		if _, err := MineMulti(u, outcome.Single(o), Options{MinSupport: 0.05, Algorithm: Apriori}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -533,7 +536,7 @@ func BenchmarkMinePolarityPruned(b *testing.B) {
 	u, o := benchUniverse(b, 20_000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Mine(u, o, Options{MinSupport: 0.05, PolarityPrune: true}); err != nil {
+		if _, err := MineMulti(u, outcome.Single(o), Options{MinSupport: 0.05, PolarityPrune: true}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -612,7 +615,7 @@ func TestQuickMinersMatchBruteForce(t *testing.T) {
 		for _, alg := range []Algorithm{Apriori, FPGrowth} {
 			opt.Algorithm = alg
 			opt.Workers = r.Intn(3) // 0..2
-			res, err := Mine(u, o, opt)
+			res, err := MineMulti(u, outcome.Single(o), opt)
 			if err != nil {
 				return false
 			}

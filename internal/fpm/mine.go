@@ -40,9 +40,9 @@ func (a Algorithm) String() string {
 // Options configures a mining run.
 type Options struct {
 	// Ctx, when non-nil, makes the run cancellable: both miners poll the
-	// context at candidate granularity and Mine returns an error wrapping
-	// ctx.Err() as soon as cancellation is observed. A nil Ctx (or one
-	// that can never be cancelled) adds no per-candidate cost.
+	// context at candidate granularity and MineMulti returns an error
+	// wrapping ctx.Err() as soon as cancellation is observed. A nil Ctx
+	// (or one that can never be cancelled) adds no per-candidate cost.
 	Ctx context.Context
 	// MinSupport is the exploration support threshold s ∈ (0, 1].
 	MinSupport float64
@@ -106,8 +106,8 @@ type MiningStats struct {
 	PrunedPolarity int `json:"pruned_polarity"`
 }
 
-// Result is the output of Mine: all frequent itemsets (length ≥ 1) with
-// their support counts and outcome moments.
+// Result is the output of MineMulti: all frequent itemsets (length ≥ 1)
+// with their support counts and outcome moments.
 type Result struct {
 	Itemsets []MinedItemset
 	Stats    MiningStats
@@ -120,20 +120,15 @@ type Result struct {
 	Exhausted string
 }
 
-// Mine runs frequent generalized itemset mining with integrated divergence
-// accumulation over the universe. It is MineMulti with a bundle of one:
-// single-statistic mining is literally the one-outcome special case of the
-// multi-statistic pass, so the two paths cannot diverge.
-func Mine(u *Universe, o *outcome.Outcome, opt Options) (*Result, error) {
-	return MineMulti(u, outcome.Single(o), opt)
-}
-
-// MineMulti mines the itemset lattice once while accumulating outcome
-// moments for every statistic in the bundle. The candidate enumeration
-// (and, under PolarityPrune, the polarity signs) is driven solely by the
-// bundle's primary outcome; each MinedItemset then carries the primary's
-// moments in M and the remaining outcomes' moments in Multi. Compared to
-// re-mining per statistic this costs one lattice walk instead of N.
+// MineMulti runs frequent generalized itemset mining with integrated
+// divergence accumulation over the universe: it mines the itemset lattice
+// once while accumulating outcome moments for every statistic in the
+// bundle (single-statistic mining passes outcome.Single(o)). The
+// candidate enumeration (and, under PolarityPrune, the polarity signs) is
+// driven solely by the bundle's primary outcome; each MinedItemset then
+// carries the primary's moments in M and the remaining outcomes' moments
+// in Multi. Compared to re-mining per statistic this costs one lattice
+// walk instead of N.
 func MineMulti(u *Universe, b *outcome.Bundle, opt Options) (*Result, error) {
 	if opt.MinSupport <= 0 || opt.MinSupport > 1 {
 		return nil, fmt.Errorf("fpm: MinSupport %v out of (0, 1]", opt.MinSupport)
@@ -150,7 +145,10 @@ func MineMulti(u *Universe, b *outcome.Bundle, opt Options) (*Result, error) {
 	if err := u.Validate(); err != nil {
 		return nil, err
 	}
-	for _, o := range b.Outcomes() {
+	for i, o := range b.Outcomes() {
+		if o == nil {
+			return nil, fmt.Errorf("fpm: nil outcome at bundle position %d", i)
+		}
 		if o.Len() != u.NumRows {
 			return nil, fmt.Errorf("fpm: outcome %q has %d rows, universe %d", o.Name, o.Len(), u.NumRows)
 		}

@@ -16,13 +16,14 @@ const (
 	SpanDiscretize = "discretize"
 	SpanTreePrefix = "discretize.tree:"
 
-	// SpanExplore covers core.Explore end to end; children are universe
-	// construction, mining (SpanMine, owned by fpm) and ranking.
+	// SpanExplore covers a core exploration end to end; children are
+	// universe construction (only when the exploration builds it), mining
+	// (SpanMine, owned by fpm) and ranking.
 	SpanExplore  = "explore"
 	SpanUniverse = "explore.universe"
 	SpanRank     = "explore.rank"
 
-	// SpanMine covers fpm.Mine. FP-Growth emits SpanMineScan (global item
+	// SpanMine covers fpm.MineMulti. FP-Growth emits SpanMineScan (global item
 	// frequency scan), SpanMineBuild (FP-tree construction, with a
 	// SpanMineMerge child when shard trees are folded together) and
 	// SpanMineGrow (conditional-tree recursion); Apriori emits

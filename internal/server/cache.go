@@ -282,12 +282,12 @@ func runBuild(build func(*cacheEntry) error, e *cacheEntry) (err error) {
 }
 
 // buildEntry runs pipeline stages 1–2 for one cache key on the given
-// table: statistic resolution, tree discretization of every continuous
-// attribute, flat hierarchies for the remaining categorical attributes,
-// then universe precomputation for both exploration modes. The hierarchy
-// assembly mirrors hdivexplorer.PipelineContext exactly so server
-// explorations are indistinguishable from CLI ones. The tracer (usually
-// the first requester's, possibly nil) receives the discretize spans.
+// table: statistic resolution, the pipeline's hierarchy assembly
+// (core.BuildHierarchies, with no taxonomies), then universe
+// precomputation for both exploration modes. Sharing the assembly with
+// hdivexplorer.PipelineContext makes server explorations
+// indistinguishable from CLI ones. The tracer (usually the first
+// requester's, possibly nil) receives the discretize spans.
 func buildEntry(e *cacheEntry, tab *dataset.Table, key cacheKey, tracer *obs.Tracer) error {
 	if err := faultinject.Hit(faultinject.SiteCacheFill); err != nil {
 		return err
@@ -296,31 +296,25 @@ func buildEntry(e *cacheEntry, tab *dataset.Table, key cacheKey, tracer *obs.Tra
 	if err != nil {
 		return err
 	}
-	hs, err := discretize.TreeSet(tab, out, discretize.TreeOptions{
+	hs, err := core.BuildHierarchies(tab, out, discretize.TreeOptions{
 		Criterion:  key.criterion,
 		MinSupport: key.st,
 		Tracer:     tracer,
-	}, excludes...)
+	}, nil, excludes)
 	if err != nil {
 		return err
 	}
-	skip := map[string]bool{}
-	for _, x := range excludes {
-		skip[x] = true
-	}
-	for _, f := range tab.Fields() {
-		if f.Kind == dataset.Categorical && !skip[f.Name] {
-			hs.Add(hierarchy.FlatCategorical(tab, f.Name))
+	uni := make(map[core.Mode]*fpm.Universe, 2)
+	for _, mode := range []core.Mode{core.Hierarchical, core.Base} {
+		if uni[mode], err = mode.Universe(tab, hs, out); err != nil {
+			return err
 		}
 	}
 	e.tab = tab
 	e.out = out
 	e.excludes = excludes
 	e.hs = hs
-	e.uni = map[core.Mode]*fpm.Universe{
-		core.Hierarchical: fpm.GeneralizedUniverse(tab, hs, out),
-		core.Base:         fpm.BaseUniverse(tab, hs, out),
-	}
+	e.uni = uni
 	return nil
 }
 

@@ -66,7 +66,7 @@ func (s *Slice) String() string {
 // leaf items for the faithful baseline).
 func TopK(u *fpm.Universe, o *outcome.Outcome, opt Options) ([]Slice, error) {
 	opt = opt.withDefaults()
-	res, err := fpm.Mine(u, o, fpm.Options{MinSupport: opt.MinSupport, MaxLen: opt.MaxLen})
+	res, err := fpm.MineMulti(u, outcome.Single(o), fpm.Options{MinSupport: opt.MinSupport, MaxLen: opt.MaxLen})
 	if err != nil {
 		return nil, err
 	}

@@ -60,7 +60,7 @@ func TestBestSliceMatchesBaseDivExplorer(t *testing.T) {
 		if len(got) != 1 {
 			t.Fatal("no slice")
 		}
-		res, err := fpm.Mine(u, o, fpm.Options{MinSupport: s})
+		res, err := fpm.MineMulti(u, outcome.Single(o), fpm.Options{MinSupport: s})
 		if err != nil {
 			t.Fatal(err)
 		}
