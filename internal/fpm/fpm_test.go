@@ -10,6 +10,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/bitvec"
+	"repro/internal/datagen"
 	"repro/internal/dataset"
 	"repro/internal/discretize"
 	"repro/internal/engine"
@@ -537,6 +538,33 @@ func BenchmarkMinePolarityPruned(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := MineMulti(u, outcome.Single(o), Options{MinSupport: 0.05, PolarityPrune: true}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkMineFPGrowthSharded is the mining layer of the pipeline-full
+// workload: a 100k-row folktables generalized universe with the numeric
+// income outcome, mined with two row shards and two workers, so the
+// sharded tree build, the shard merge and the parallel growth all run.
+func BenchmarkMineFPGrowthSharded(b *testing.B) {
+	d := datagen.Folktables(datagen.Config{N: 100_000, Seed: 1})
+	o := outcome.Numeric("income", d.Target)
+	hs, err := discretize.TreeSet(d.Table, o, discretize.TreeOptions{MinSupport: 0.1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, f := range d.Table.Fields() {
+		if f.Kind == dataset.Categorical {
+			hs.Add(hierarchy.FlatCategorical(d.Table, f.Name))
+		}
+	}
+	u := GeneralizedUniverse(d.Table, hs, o)
+	opt := Options{MinSupport: 0.02, Shards: 2, Workers: 2}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := MineMulti(u, outcome.Single(o), opt); err != nil {
 			b.Fatal(err)
 		}
 	}

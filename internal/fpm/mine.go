@@ -1,10 +1,11 @@
 package fpm
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/bitvec"
@@ -620,12 +621,14 @@ func key(items []int) string {
 // The sort is an index sort: divergence keys are computed once per itemset
 // up front (the comparator would otherwise recompute them — and allocate an
 // encoded tie-break key — on every comparison, which dominated ranking
-// cost), a permutation of indices is stably sorted against the key array,
-// and the permutation is applied in place by cycle-walking — so the scratch
-// is 12 bytes per itemset instead of a decorated copy of the slice. The
-// final tie-break compares item slices in the byte order of their varint
+// cost), a permutation of indices is sorted against the key array, and the
+// permutation is applied in place by cycle-walking — so the scratch is 12
+// bytes per itemset instead of a decorated copy of the slice. The final
+// tie-break compares item slices in the byte order of their varint
 // encoding (keyLess), reproducing the exact order of the historical
-// string-key comparison without building strings.
+// string-key comparison without building strings. Mined itemsets are
+// distinct, so the comparator is a total order and an unstable sort yields
+// the one order a stable sort would.
 func SortByDivergence(items []MinedItemset, o *outcome.Outcome, signed bool, positive bool) {
 	keys := make([]float64, len(items))
 	perm := make([]int32, len(items))
@@ -641,18 +644,24 @@ func SortByDivergence(items []MinedItemset, o *outcome.Outcome, signed bool, pos
 		keys[i] = d
 		perm[i] = int32(i)
 	}
-	sort.SliceStable(perm, func(x, y int) bool {
-		a, b := perm[x], perm[y]
-		if keys[a] != keys[b] {
-			return keys[a] > keys[b]
+	slices.SortFunc(perm, func(a, b int32) int {
+		if c := cmp.Compare(keys[b], keys[a]); c != 0 {
+			return c
 		}
-		if len(items[a].Items) != len(items[b].Items) {
-			return len(items[a].Items) < len(items[b].Items)
+		ia, ib := &items[a], &items[b]
+		if c := cmp.Compare(len(ia.Items), len(ib.Items)); c != 0 {
+			return c
 		}
-		if items[a].Count != items[b].Count {
-			return items[a].Count > items[b].Count
+		if c := cmp.Compare(ib.Count, ia.Count); c != 0 {
+			return c
 		}
-		return keyLess(items[a].Items, items[b].Items)
+		switch {
+		case keyLess(ia.Items, ib.Items):
+			return -1
+		case keyLess(ib.Items, ia.Items):
+			return 1
+		}
+		return 0
 	})
 	// Apply the permutation (sorted[i] = items[perm[i]]) in place: each
 	// cycle shifts its members one step, with visited slots marked by -1.
