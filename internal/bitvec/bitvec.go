@@ -38,6 +38,18 @@ func New(n int) *Vector {
 	return &Vector{words: make([]uint64, (n+wordBits-1)/wordBits), n: n}
 }
 
+// FromWords returns a vector of n bits over words, which it takes
+// ownership of: bit i is bit i%64 of words[i/64]. words must hold exactly
+// the (n+63)/64 words of n bits; bits beyond n are cleared.
+func FromWords(words []uint64, n int) *Vector {
+	if n < 0 || len(words) != (n+wordBits-1)/wordBits {
+		panic(fmt.Sprintf("bitvec: %d words for %d bits", len(words), n))
+	}
+	v := &Vector{words: words, n: n}
+	v.trim()
+	return v
+}
+
 // NewFull returns a vector with all n bits set.
 func NewFull(n int) *Vector {
 	v := New(n)

@@ -50,30 +50,10 @@ func AppendUniverse(t *dataset.Table, u *Universe, o *outcome.Outcome) (*Univers
 	startWord := oldN / 64
 	tailWords := (newN+63)/64 - startWord
 	tail := make([]uint64, tailWords)
+	var mask []bool // categorical membership storage, shared by every item
 	for i, it := range u.Items {
-		for w := range tail {
-			tail[w] = 0
-		}
-		switch it.Kind {
-		case dataset.Continuous:
-			floats := t.Floats(it.Attr)
-			for j := oldN; j < newN; j++ {
-				if it.MatchesFloat(floats[j]) {
-					tail[j/64-startWord] |= 1 << uint(j%64)
-				}
-			}
-		case dataset.Categorical:
-			codes := t.Codes(it.Attr)
-			in := make(map[int]bool, len(it.Codes))
-			for _, c := range it.Codes {
-				in[c] = true
-			}
-			for j := oldN; j < newN; j++ {
-				if in[codes[j]] {
-					tail[j/64-startWord] |= 1 << uint(j%64)
-				}
-			}
-		}
+		clear(tail)
+		mask = it.FillRows(t, oldN, tail, mask)
 		grown := bitvec.Grow(u.Rows[i], tail, newN)
 		g.Rows[i] = grown
 		if d := o.DivergenceOfSet(grown); d < 0 {
@@ -81,19 +61,7 @@ func AppendUniverse(t *dataset.Table, u *Universe, o *outcome.Outcome) (*Univers
 		} else {
 			g.Polarity[i] = 1
 		}
-		denseBytes := int64(grown.NumWords()) * 8
-		g.mem.DenseBytes += denseBytes
-		if c, isCompressed := grown.(*bitvec.Compressed); isCompressed {
-			st := c.Stats()
-			g.mem.ItemsCompressed++
-			g.mem.ContainersArray += st.Array
-			g.mem.ContainersBitmap += st.Bitmap
-			g.mem.ContainersRun += st.Run
-			g.mem.Bytes += st.Bytes
-		} else {
-			g.mem.ItemsDense++
-			g.mem.Bytes += denseBytes
-		}
+		g.mem.add(grown)
 	}
 	return g, nil
 }

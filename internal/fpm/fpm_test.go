@@ -548,18 +548,8 @@ func BenchmarkMinePolarityPruned(b *testing.B) {
 // income outcome, mined with two row shards and two workers, so the
 // sharded tree build, the shard merge and the parallel growth all run.
 func BenchmarkMineFPGrowthSharded(b *testing.B) {
-	d := datagen.Folktables(datagen.Config{N: 100_000, Seed: 1})
-	o := outcome.Numeric("income", d.Target)
-	hs, err := discretize.TreeSet(d.Table, o, discretize.TreeOptions{MinSupport: 0.1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, f := range d.Table.Fields() {
-		if f.Kind == dataset.Categorical {
-			hs.Add(hierarchy.FlatCategorical(d.Table, f.Name))
-		}
-	}
-	u := GeneralizedUniverse(d.Table, hs, o)
+	tab, hs, o := folktablesHierarchies(b, 100_000)
+	u := GeneralizedUniverse(tab, hs, o)
 	opt := Options{MinSupport: 0.02, Shards: 2, Workers: 2}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -568,6 +558,40 @@ func BenchmarkMineFPGrowthSharded(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkGeneralizedUniverse is the layer benchmark for the
+// fpm.universe_build span on the pipeline-full shape: the generalized
+// universe of a 100k-row folktables table with the numeric income
+// outcome, built from its st=0.1 tree hierarchies and flat categorical
+// hierarchies.
+func BenchmarkGeneralizedUniverse(b *testing.B) {
+	tab, hs, o := folktablesHierarchies(b, 100_000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		GeneralizedUniverse(tab, hs, o)
+	}
+}
+
+// folktablesHierarchies generates an n-row folktables table (seed 1) with
+// its numeric income outcome, and the hierarchies the pipeline explores
+// it with: divergence trees at st=0.1 plus a flat hierarchy per
+// categorical column.
+func folktablesHierarchies(tb testing.TB, n int) (*dataset.Table, *hierarchy.Set, *outcome.Outcome) {
+	tb.Helper()
+	d := datagen.Folktables(datagen.Config{N: n, Seed: 1})
+	o := outcome.Numeric("income", d.Target)
+	hs, err := discretize.TreeSet(d.Table, o, discretize.TreeOptions{MinSupport: 0.1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for _, f := range d.Table.Fields() {
+		if f.Kind == dataset.Categorical {
+			hs.Add(hierarchy.FlatCategorical(d.Table, f.Name))
+		}
+	}
+	return d.Table, hs, o
 }
 
 func benchUniverse(b *testing.B, n int) (*Universe, *outcome.Outcome) {

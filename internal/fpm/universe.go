@@ -26,9 +26,11 @@ package fpm
 
 import (
 	"fmt"
+	"runtime"
 
 	"repro/internal/bitvec"
 	"repro/internal/dataset"
+	"repro/internal/engine"
 	"repro/internal/hierarchy"
 	"repro/internal/outcome"
 	"repro/internal/stats"
@@ -70,6 +72,13 @@ type MemStats struct {
 // divergence is ≥ 0 get polarity +1, otherwise -1. Polarity is computed on
 // the dense vector before representation selection, so packing cannot
 // perturb it.
+//
+// Items pack in parallel, each into its own slot: an item's row set,
+// polarity and representation depend on that item alone, attribute ids
+// are assigned serially beforehand, and the memory statistics are summed
+// in item order afterwards, so the universe is the same at any
+// GOMAXPROCS. A panic while packing is re-raised on the caller's
+// goroutine.
 func NewUniverse(t *dataset.Table, items []*hierarchy.Item, o *outcome.Outcome) *Universe {
 	u := &Universe{
 		Items:    items,
@@ -80,7 +89,6 @@ func NewUniverse(t *dataset.Table, items []*hierarchy.Item, o *outcome.Outcome) 
 	}
 	attrIndex := map[string]int{}
 	for i, it := range items {
-		rows := it.Rows(t)
 		id, ok := attrIndex[it.Attr]
 		if !ok {
 			id = len(u.attrs)
@@ -88,27 +96,40 @@ func NewUniverse(t *dataset.Table, items []*hierarchy.Item, o *outcome.Outcome) 
 			u.attrs = append(u.attrs, it.Attr)
 		}
 		u.AttrID[i] = id
+	}
+	err := engine.ParallelFor(len(items), runtime.GOMAXPROCS(0), nil, func(i int) {
+		rows := items[i].Rows(t)
 		if d := o.DivergenceOf(rows); d < 0 {
 			u.Polarity[i] = -1
 		} else {
 			u.Polarity[i] = 1
 		}
 		u.Rows[i] = bitvec.Pack(rows)
-		denseBytes := int64(rows.NumWords()) * 8
-		u.mem.DenseBytes += denseBytes
-		if c, isCompressed := u.Rows[i].(*bitvec.Compressed); isCompressed {
-			st := c.Stats()
-			u.mem.ItemsCompressed++
-			u.mem.ContainersArray += st.Array
-			u.mem.ContainersBitmap += st.Bitmap
-			u.mem.ContainersRun += st.Run
-			u.mem.Bytes += st.Bytes
-		} else {
-			u.mem.ItemsDense++
-			u.mem.Bytes += denseBytes
-		}
+	})
+	if err != nil {
+		panic(err)
+	}
+	for _, rows := range u.Rows {
+		u.mem.add(rows)
 	}
 	return u
+}
+
+// add accounts for one item's packed row set.
+func (m *MemStats) add(rows bitvec.Set) {
+	denseBytes := int64(rows.NumWords()) * 8
+	m.DenseBytes += denseBytes
+	if c, isCompressed := rows.(*bitvec.Compressed); isCompressed {
+		st := c.Stats()
+		m.ItemsCompressed++
+		m.ContainersArray += st.Array
+		m.ContainersBitmap += st.Bitmap
+		m.ContainersRun += st.Run
+		m.Bytes += st.Bytes
+	} else {
+		m.ItemsDense++
+		m.Bytes += denseBytes
+	}
 }
 
 // Memory returns the universe's representation statistics.
