@@ -5,7 +5,7 @@ package faultinject
 // fault-injection suite pins about it.
 const (
 	// SiteCSVLoad fires at the start of dataset.ReadCSV, before any bytes
-	// are parsed — a failing or stalling dataset source.
+	// are read — a failing or stalling dataset source.
 	SiteCSVLoad = "dataset.read_csv"
 	// SiteDiscretizeTree fires once per continuous attribute inside
 	// discretize.Tree, before the attribute's hierarchy is grown.
