@@ -88,31 +88,42 @@ func newFPTree(order []int, numItems, mxStride int) *fpTree {
 
 // child returns node parent's child for item it, creating it (and linking
 // it onto the header chain in creation order, which absorb and the growth
-// recursion rely on for determinism) if absent.
+// recursion rely on for determinism) if absent. Sibling lists ascend by
+// tree rank (pos): transactions arrive rank-sorted, so the most frequent
+// child is met first, and a new child is linked in where its rank falls.
+// Only the nextSib links depend on this; node ids stay in creation order.
 func (t *fpTree) child(parent, it int32) int32 {
-	for c := t.nodes[parent].firstChild; c >= 0; c = t.nodes[c].nextSib {
-		if t.nodes[c].item == it {
+	p := t.pos[it]
+	prev := int32(-1)
+	c := t.nodes[parent].firstChild
+	for c >= 0 {
+		ci := t.nodes[c].item
+		if ci == it {
 			return c
 		}
+		if t.pos[ci] > p {
+			break
+		}
+		prev, c = c, t.nodes[c].nextSib
 	}
-	c := int32(len(t.nodes))
-	t.nodes = append(t.nodes, fpNode{
-		item: it, parent: parent,
-		firstChild: -1, nextSib: t.nodes[parent].firstChild,
-	})
-	t.nodes[parent].firstChild = c
+	n := int32(len(t.nodes))
+	t.nodes = append(t.nodes, fpNode{item: it, parent: parent, firstChild: -1, nextSib: c})
+	if prev < 0 {
+		t.nodes[parent].firstChild = n
+	} else {
+		t.nodes[prev].nextSib = n
+	}
 	t.agg = append(t.agg, fpAgg{next: -1})
 	for k := 0; k < t.mxStride; k++ {
 		t.mx = append(t.mx, stats.Moments{})
 	}
-	p := t.pos[it] - 1
-	if t.headers[p] < 0 {
-		t.headers[p] = c
+	if t.headers[p-1] < 0 {
+		t.headers[p-1] = n
 	} else {
-		t.agg[t.tails[p]].next = c
+		t.agg[t.tails[p-1]].next = n
 	}
-	t.tails[p] = c
-	return c
+	t.tails[p-1] = n
+	return n
 }
 
 // insert adds a transaction (items already filtered to the tree's universe
@@ -153,11 +164,11 @@ func (t *fpTree) nodeMx(n int32) []stats.Moments {
 // engine package note on float exactness.
 //
 // One explicit stack of (dst parent, src node) frames replaces recursion:
-// each node's children are pushed sorted by descending rank (an insertion
-// sort; sibling lists are short), so they pop in ascending rank. The
+// each node's children are pushed in reverse sibling order, and sibling
+// lists ascend by rank (see child), so they pop in ascending rank. The
 // slabs grow once up front by len(src.nodes)-1, an exact upper bound on
 // the nodes the merge can add, so no append inside child reallocates.
-func (t *fpTree) absorb(src *fpTree, rank []int32) {
+func (t *fpTree) absorb(src *fpTree) {
 	add := len(src.nodes) - 1
 	t.nodes = slices.Grow(t.nodes, add)
 	t.agg = slices.Grow(t.agg, add)
@@ -167,16 +178,9 @@ func (t *fpTree) absorb(src *fpTree, rank []int32) {
 	push := func(dst, s int32) {
 		base := len(stack)
 		for c := src.nodes[s].firstChild; c >= 0; c = src.nodes[c].nextSib {
-			f := frame{dst, c}
-			rf := rank[src.nodes[c].item]
-			stack = append(stack, f)
-			j := len(stack) - 2
-			for j >= base && rank[src.nodes[stack[j].src].item] < rf {
-				stack[j+1] = stack[j]
-				j--
-			}
-			stack[j+1] = f
+			stack = append(stack, frame{dst, c})
 		}
+		slices.Reverse(stack[base:])
 	}
 	push(0, 0)
 	for len(stack) > 0 {
@@ -265,15 +269,56 @@ func buildShardTree(u *Universe, bun *outcome.Bundle, order []int, numItems int,
 // the conditional support counters (item-indexed, reset via the parent
 // tree's order after each use), the suffix stack, per-occurrence path and
 // conditional-order buffers, and a free list of released conditional
-// trees. One scratch serves one branch recursion at a time; the sync.Pool
-// in mineFPGrowth hands them to workers and its reuse is counted through
-// the run's engine.Pool.
+// trees. It also holds the worker's open emission chunk and Items slab,
+// shared by every branch the worker runs, so a branch that emits a
+// handful of itemsets does not open chunks of its own. One scratch serves
+// one branch recursion at a time; the sync.Pool in mineFPGrowth hands
+// them to workers and its reuse is counted through the run's engine.Pool.
 type growScratch struct {
 	cnt     []int   // per universe item: conditional support count
 	suffix  []int   // current itemset suffix (append/truncate stack)
 	path    []int32 // one occurrence's filtered, rank-sorted ancestors
 	condBuf []int   // conditional item order under construction
 	trees   []*fpTree
+	sets    []MinedItemset // open emission chunk (cap fpSetChunk)
+	setLo   int            // start of the running branch's range in sets
+	items   []int          // open Items slab
+}
+
+// beginBranch starts the running branch's range at the end of the open
+// emission chunk.
+func (sc *growScratch) beginBranch() { sc.setLo = len(sc.sets) }
+
+// endView closes acc's range of the open chunk as a full-capacity view,
+// so its itemsets stay put while later branches append behind it.
+func (sc *growScratch) endView(acc *fpLocal) {
+	if hi := len(sc.sets); hi > sc.setLo {
+		acc.sets = append(acc.sets, sc.sets[sc.setLo:hi:hi])
+	}
+	sc.setLo = len(sc.sets)
+}
+
+// emit appends one mined itemset to the open chunk on acc's behalf,
+// closing acc's view and opening a fresh chunk when the chunk is full.
+// Closed chunks are never reallocated.
+func (sc *growScratch) emit(acc *fpLocal, m MinedItemset) {
+	if len(sc.sets) == cap(sc.sets) {
+		sc.endView(acc)
+		sc.sets = make([]MinedItemset, 0, fpSetChunk)
+		sc.setLo = 0
+	}
+	sc.sets = append(sc.sets, m)
+}
+
+// allocItems returns a fresh n-int slice carved from the open Items slab,
+// at full capacity so an append by a consumer cannot clobber a neighbour.
+func (sc *growScratch) allocItems(n int) []int {
+	if len(sc.items)+n > cap(sc.items) {
+		sc.items = make([]int, 0, max(fpChunkSize, n))
+	}
+	off := len(sc.items)
+	sc.items = sc.items[:off+n]
+	return sc.items[off : off+n : off+n]
 }
 
 // resetCnt zeroes the counters touched by a pass over tree order (a
@@ -351,7 +396,8 @@ func (sc *growScratch) putTree(t *fpTree) {
 // per-branch working arrays are recycled through growScratch (reuse
 // surfaces in the run pool's hit counters), the conditional pattern base
 // is consumed in two header-chain passes with no materialized path list,
-// and emitted Items slices are carved from per-branch chunk slabs.
+// and emitted itemsets and their Items are carved from per-worker chunk
+// slabs.
 func mineFPGrowth(u *Universe, bun *outcome.Bundle, opt Options, minCount int, plan engine.Plan, pool *engine.Pool, span *obs.Span, cancel *canceller, budget *budgetTracker, hBatch *obs.Histogram) (*Result, error) {
 	res := &Result{}
 	prog := opt.Progress
@@ -428,7 +474,7 @@ func mineFPGrowth(u *Universe, bun *outcome.Bundle, opt Options, minCount int, p
 				build.End()
 				return nil, err
 			}
-			tree.absorb(trees[s], rank)
+			tree.absorb(trees[s])
 		}
 		merge.End()
 	}
@@ -481,11 +527,11 @@ func mineFPGrowth(u *Universe, bun *outcome.Bundle, opt Options, minCount int, p
 			return
 		}
 		depth := len(sc.suffix) + 1
-		sorted := acc.allocItems(depth)
+		sorted := sc.allocItems(depth)
 		copy(sorted, sc.suffix)
 		sorted[depth-1] = it
 		sort.Ints(sorted)
-		acc.emit(MinedItemset{Items: sorted, Count: total, M: m, Multi: mx})
+		sc.emit(acc, MinedItemset{Items: sorted, Count: total, M: m, Multi: mx})
 		prog.AddFrequent(1)
 		// FP-Growth has no global level sweep, so the live "level" is the
 		// deepest itemset emitted so far across all branches.
@@ -630,7 +676,9 @@ func mineFPGrowth(u *Universe, bun *outcome.Bundle, opt Options, minCount int, p
 	if err := engine.ParallelFor(nBranch, growWorkers, opt.Tracer, func(j int) {
 		idx := nBranch - 1 - j
 		sc := getScratch()
+		sc.beginBranch()
 		local(&locals[j], sc, tree, idx)
+		sc.endView(&locals[j])
 		// On a panic the scratch is simply dropped (its counters may be
 		// dirty); ParallelFor recovers and the run fails.
 		scratchPool.Put(sc)
@@ -667,15 +715,12 @@ func mineFPGrowth(u *Universe, bun *outcome.Bundle, opt Options, minCount int, p
 	return res, nil
 }
 
-// fpLocal accumulates one FP-Growth branch's results. Both the itemsets
-// and their Items storage are carved out of chunk slabs — closed chunks
-// are never reallocated, so a branch's emissions cost no append-growth
-// churn; the run's result is assembled by one exact-size concatenation.
-// Items sub-slices are handed out at full capacity, so an append by a
-// consumer cannot clobber a neighbour.
+// fpLocal accumulates one FP-Growth branch's results. Its itemsets are
+// views into the emission chunks of the worker that ran it (see
+// growScratch.emit); the run's result is assembled by one exact-size
+// concatenation of every branch's views in branch order.
 type fpLocal struct {
-	sets           [][]MinedItemset // chunked emissions, in order; last is open
-	chunk          []int            // current Items slab
+	sets           [][]MinedItemset // views of the branch's emissions, in order
 	candidates     int
 	prunedSupport  int
 	prunedPolarity int
@@ -689,28 +734,3 @@ const (
 	fpChunkSize = 4096
 	fpSetChunk  = 1024
 )
-
-// emit appends one mined itemset to the branch's chunked emission list.
-func (acc *fpLocal) emit(m MinedItemset) {
-	n := len(acc.sets)
-	if n == 0 || len(acc.sets[n-1]) == fpSetChunk {
-		acc.sets = append(acc.sets, make([]MinedItemset, 0, fpSetChunk))
-		n++
-	}
-	acc.sets[n-1] = append(acc.sets[n-1], m)
-}
-
-// allocItems returns a fresh n-int slice backed by the branch's current
-// chunk slab.
-func (acc *fpLocal) allocItems(n int) []int {
-	if len(acc.chunk)+n > cap(acc.chunk) {
-		size := fpChunkSize
-		if n > size {
-			size = n
-		}
-		acc.chunk = make([]int, 0, size)
-	}
-	off := len(acc.chunk)
-	acc.chunk = acc.chunk[:off+n]
-	return acc.chunk[off : off+n : off+n]
-}

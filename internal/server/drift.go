@@ -50,7 +50,11 @@ type driftWatch struct {
 	params    exploreParams // copy of the last complete exploration
 	haveWatch bool
 	baseEpoch uint64
-	baseline  map[string]subgroupSnap
+	// The baseline is kept as the explore's ranked subgroups (baseSubs)
+	// and indexed by label only when read (baselineLocked): most explores
+	// are superseded before an append ever diffs against them.
+	baseSubs  []core.Subgroup
+	baseline  map[string]subgroupSnap // nil until indexed
 	events    []DriftEvent
 	window    *obs.Windowed // events per trailing hour, minute epochs
 	timer     *time.Timer
@@ -108,8 +112,10 @@ func (m *driftMonitor) watch(name string) *driftWatch {
 }
 
 // noteExplore records a complete current-epoch exploration as the
-// dataset's watch specification and drift baseline. Nil-safe on a
-// disabled monitor.
+// dataset's watch specification and drift baseline. rep must still hold
+// the full ranking (before any min_t or top cut); its subgroups are kept
+// as they are and indexed only when a re-mine or a persist reads them.
+// Nil-safe on a disabled monitor.
 func (m *driftMonitor) noteExplore(p *exploreParams, rep *core.Report) {
 	if m == nil || m.t < 0 {
 		return
@@ -125,7 +131,7 @@ func (m *driftMonitor) noteExplore(p *exploreParams, rep *core.Report) {
 	// it, but an older cached epoch must not rewind an advanced baseline.
 	if p.epoch >= w.baseEpoch {
 		w.baseEpoch = p.epoch
-		w.baseline = snapshotSubgroups(rep)
+		w.baseSubs, w.baseline = rep.Subgroups, nil
 	}
 	m.persistLocked(p.req.Dataset, w)
 }
@@ -175,7 +181,7 @@ func (m *driftMonitor) remine(name string) {
 	}
 	w.remining = true
 	p := w.params
-	baseEpoch, baseline := w.baseEpoch, w.baseline
+	baseEpoch, baseline := w.baseEpoch, w.baselineLocked()
 	m.mu.Unlock()
 	defer func() {
 		m.mu.Lock()
@@ -229,12 +235,12 @@ func (m *driftMonitor) remine(name string) {
 		m.setError(name, err.Error())
 		return
 	}
-	current := snapshotSubgroups(reps[0])
+	current := snapshotSubgroups(reps[0].Subgroups)
 	events := diffSubgroups(baseline, current, m.t, baseEpoch, p.epoch)
 
 	m.mu.Lock()
 	w.baseEpoch = p.epoch
-	w.baseline = current
+	w.baseSubs, w.baseline = nil, current
 	w.lastError = ""
 	w.events = append(w.events, events...)
 	if len(w.events) > maxDriftEvents {
@@ -283,7 +289,7 @@ func (m *driftMonitor) persistLocked(name string, w *driftWatch) {
 	raw, err := json.Marshal(driftState{
 		Request:   w.params.req,
 		BaseEpoch: w.baseEpoch,
-		Baseline:  w.baseline,
+		Baseline:  w.baselineLocked(),
 	})
 	if err != nil {
 		return
@@ -354,10 +360,20 @@ func (m *driftMonitor) setError(name, msg string) {
 	m.watch(name).lastError = msg
 }
 
-// snapshotSubgroups indexes a ranked report by subgroup label.
-func snapshotSubgroups(rep *core.Report) map[string]subgroupSnap {
-	out := make(map[string]subgroupSnap, len(rep.Subgroups))
-	for _, sg := range rep.Subgroups {
+// baselineLocked returns the watch's baseline index, building it from the
+// baseline explore's subgroups on first read. Caller holds m.mu.
+func (w *driftWatch) baselineLocked() map[string]subgroupSnap {
+	if w.baseline == nil {
+		w.baseline = snapshotSubgroups(w.baseSubs)
+		w.baseSubs = nil
+	}
+	return w.baseline
+}
+
+// snapshotSubgroups indexes ranked subgroups by label.
+func snapshotSubgroups(subs []core.Subgroup) map[string]subgroupSnap {
+	out := make(map[string]subgroupSnap, len(subs))
+	for _, sg := range subs {
 		out[sg.Itemset.String()] = subgroupSnap{
 			Support:    sg.Support,
 			Divergence: sg.Divergence,

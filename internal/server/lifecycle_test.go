@@ -7,6 +7,8 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -575,6 +577,99 @@ func TestDriftMonitorDetectsCrossing(t *testing.T) {
 	if snap.Counter(obs.CtrServerDriftRemines) < 1 || snap.Counter(obs.CtrServerDriftEvents) < 1 {
 		t.Errorf("drift counters: remines=%d events=%d, want >= 1 each",
 			snap.Counter(obs.CtrServerDriftRemines), snap.Counter(obs.CtrServerDriftEvents))
+	}
+}
+
+// TestDriftBaselineIgnoresReplyCut pins that the drift baseline is the
+// explore's full ranking, not the reply that "top" and "min_t" cut: a
+// baseline explore sent with top=1 and min_t set yields the same drift
+// events on the same anomalous append as an uncut one, and with a state
+// dir its drift.json holds every subgroup of the uncut report. On the
+// clean table the append pushes subgroups over the threshold; on the
+// anomaly table the subgroups the cut drops are over it before and after,
+// so a baseline that lost them would report spurious crossings.
+func TestDriftBaselineIgnoresReplyCut(t *testing.T) {
+	full := ExploreRequest{Stat: "error", Actual: "y", Predicted: "p", S: 0.05, ST: 0.1}
+	cut := full
+	cut.Top, cut.MinT = 1, 0.5
+	events := func(req ExploreRequest) map[string][]DriftEvent {
+		s := newTestServer(t, Config{
+			Datasets: []DatasetConfig{
+				{Name: "clean", Table: cleanTable(t)},
+				{Name: "anomaly", Table: anomalyTable(t)},
+			},
+			DriftT:        2,
+			DriftDebounce: time.Millisecond,
+		})
+		out := map[string][]DriftEvent{}
+		for _, name := range []string{"clean", "anomaly"} {
+			req.Dataset = name
+			if rec := postExplore(t, s, req); rec.Code != 200 {
+				t.Fatalf("baseline explore: %d %s", rec.Code, rec.Body.String())
+			}
+			if rec := postAppend(t, s, name, anomalousBatch(150)); rec.Code != 200 {
+				t.Fatalf("append: %d %s", rec.Code, rec.Body.String())
+			}
+			evs := awaitDrift(t, s, name, func(d driftReply) bool { return d.BaselineEpoch == 2 }).Events
+			for i := range evs {
+				evs[i].UnixNano = 0
+			}
+			out[name] = evs
+		}
+		return out
+	}
+	want := events(full)
+	if len(want["clean"]) == 0 {
+		t.Fatal("uncut baseline produced no drift events on the clean table")
+	}
+	if got := events(cut); !reflect.DeepEqual(got, want) {
+		t.Errorf("drift events after a top=1 min_t baseline differ:\n got %+v\nwant %+v", got, want)
+	}
+
+	walDir := t.TempDir()
+	s := newTestServer(t, durableConfig(t, walDir))
+	t.Cleanup(func() { s.Close() })
+	baseline := func() map[string]subgroupSnap {
+		raw, err := os.ReadFile(filepath.Join(walDir, "anomaly", "drift.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var st driftState
+		if err := json.Unmarshal(raw, &st); err != nil {
+			t.Fatal(err)
+		}
+		return st.Baseline
+	}
+	full.Dataset, cut.Dataset = "anomaly", "anomaly"
+	rec := postExplore(t, s, cut)
+	if rec.Code != 200 {
+		t.Fatalf("cut explore: %d %s", rec.Code, rec.Body.String())
+	}
+	afterCut := baseline()
+	if rec = postExplore(t, s, full); rec.Code != 200 {
+		t.Fatalf("full explore: %d %s", rec.Code, rec.Body.String())
+	}
+	var reply struct {
+		Subgroups []struct {
+			Itemset                string
+			Support, Divergence, T float64
+		}
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &reply); err != nil {
+		t.Fatal(err)
+	}
+	want2 := map[string]subgroupSnap{}
+	for _, sg := range reply.Subgroups {
+		want2[sg.Itemset] = subgroupSnap{Support: sg.Support, Divergence: sg.Divergence, T: sg.T}
+	}
+	if len(want2) < 2 {
+		t.Fatalf("uncut report has %d subgroups; the cut must drop some", len(want2))
+	}
+	if !reflect.DeepEqual(afterCut, want2) {
+		t.Errorf("drift.json after the top=1 explore holds %d subgroups, want the uncut report's %d", len(afterCut), len(want2))
+	}
+	if got := baseline(); !reflect.DeepEqual(got, want2) {
+		t.Errorf("drift.json after the uncut explore holds %d subgroups, want %d", len(got), len(want2))
 	}
 }
 
