@@ -236,9 +236,10 @@ func BenchmarkPipelineTraced(b *testing.B) {
 }
 
 // BenchmarkAblationWorkers measures parallel-mining scaling on the
-// attribute-heavy intentions workload. Speedup requires GOMAXPROCS > 1;
-// on a single-core host all settings cost the same (results are identical
-// regardless — see TestParallelMatchesSerial).
+// attribute-heavy intentions workload. Each sub-benchmark reports its
+// speedup over workers=1 (when that ran first) as a metric. Speedup
+// requires GOMAXPROCS > 1; on a single-core host all settings cost the
+// same (results are identical regardless — see TestParallelMatchesSerial).
 func BenchmarkAblationWorkers(b *testing.B) {
 	w, err := experiments.Load("intentions", benchCfg)
 	if err != nil {
@@ -248,6 +249,7 @@ func BenchmarkAblationWorkers(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	var serialNs float64 // workers=1 ns/op, the speedup baseline
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -258,6 +260,13 @@ func BenchmarkAblationWorkers(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
+			}
+			ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+			if workers == 1 {
+				serialNs = ns
+			}
+			if serialNs > 0 {
+				b.ReportMetric(serialNs/ns, "speedup")
 			}
 		})
 	}

@@ -5,7 +5,12 @@
 //	benchdiff -old BENCH_PR8_SLO.json -new fresh.json \
 //	    -watch BenchmarkLoadGen -metrics p99-ns,err-rate
 //
-// For every benchmark present in both files it prints the new/old ratio
+// Benchmarks are matched by package and name with the trailing
+// GOMAXPROCS suffix that `go test -bench` appends on multi-core hosts
+// ("BenchmarkTable3-2") stripped, so artifacts from hosts with different
+// core counts compare; two entries of one file that collide after
+// stripping are an error. For every benchmark present in both files it
+// prints the new/old ratio
 // of each tracked metric (-metrics, defaulting to ns/op, B/op and
 // allocs/op; latency quantiles such as p99-ns from cmd/hdivloadgen
 // artifacts diff the same way). Watched benchmarks (-watch, a substring
@@ -16,9 +21,11 @@
 // `::warning::` annotation. By default the comparison is advisory: the
 // exit status is 0 whether or not regressions are found, so CI surfaces
 // the warning without failing the build. With -strict, watched
-// regressions exit nonzero and fail the build — CI runs the allocation
-// gate this way so B/op regressions on the tracked artifacts cannot land
-// silently. An artifact marked aborted (a load-generator run that was
+// regressions exit nonzero and fail the build, and so does a comparison
+// in which no watched benchmark is common to both files (a gate that
+// compares nothing passes nothing) — CI runs the allocation gate this way
+// so B/op regressions on the tracked artifacts cannot land silently. An
+// artifact marked aborted (a load-generator run that was
 // interrupted) is compared but called out, since its numbers cover less
 // traffic than configured. Unreadable or unparseable inputs always exit
 // nonzero; a missing -old baseline is reported and skipped (exit 0) so
@@ -26,10 +33,12 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"regexp"
 	"sort"
 	"strings"
 
@@ -42,6 +51,13 @@ const defaultMetrics = "ns/op,B/op,allocs/op"
 // allocMetric reports whether a metric is gated by -alloc-threshold
 // rather than -threshold.
 func allocMetric(m string) bool { return m == "B/op" || m == "allocs/op" }
+
+// errNoWatched reports a comparison in which no watched benchmark is
+// common to both files; -strict turns it into a failure.
+var errNoWatched = errors.New("no watched benchmark is common to both files")
+
+// procSuffix matches the "-<GOMAXPROCS>" suffix of a benchmark name.
+var procSuffix = regexp.MustCompile(`-[0-9]+$`)
 
 func main() {
 	oldPath := flag.String("old", "", "baseline benchjson file (required)")
@@ -60,11 +76,26 @@ func main() {
 		splitList(*watch), splitList(*metrics), *threshold, *allocThreshold)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchdiff:", err)
-		os.Exit(1)
 	}
-	if *strict && regressions > 0 {
-		os.Exit(1)
+	os.Exit(status(regressions, err, *strict))
+}
+
+// status maps a comparison's outcome to the exit status: 1 for an
+// unusable input, and under -strict also for a watched regression or a
+// comparison with no watched benchmark in common; 0 otherwise.
+func status(regressions int, err error, strict bool) int {
+	switch {
+	case errors.Is(err, errNoWatched):
+		if strict {
+			return 1
+		}
+		return 0
+	case err != nil:
+		return 1
+	case strict && regressions > 0:
+		return 1
 	}
+	return 0
 }
 
 // splitList splits a comma-separated flag value, trimming blanks.
@@ -80,8 +111,9 @@ func splitList(s string) []string {
 
 // load parses one benchfmt artifact into a (package/name → metrics) map,
 // keeping only the tracked metrics and skipping benchmarks that carry
-// none of them. Sub-benchmarks keep their full slash-separated names.
-// The second return is the artifact's aborted marker.
+// none of them. Sub-benchmarks keep their full slash-separated names;
+// the GOMAXPROCS suffix is stripped, and two entries that then collide
+// are an error. The second return is the artifact's aborted marker.
 func load(path string, metrics []string) (map[string]map[string]float64, bool, error) {
 	f, err := benchfmt.ReadFile(path)
 	if err != nil {
@@ -95,15 +127,21 @@ func load(path string, metrics []string) (map[string]map[string]float64, bool, e
 				kept[metric] = v
 			}
 		}
-		if len(kept) > 0 {
-			m[b.Package+"/"+b.Name] = kept
+		if len(kept) == 0 {
+			continue
 		}
+		name := b.Package + "/" + procSuffix.ReplaceAllString(b.Name, "")
+		if _, dup := m[name]; dup {
+			return nil, false, fmt.Errorf("%s: benchmark %s appears twice once the GOMAXPROCS suffix is stripped", path, name)
+		}
+		m[name] = kept
 	}
 	return m, f.Aborted, nil
 }
 
 // run prints the comparison and returns the number of watched metrics
-// that regressed beyond their threshold.
+// that regressed beyond their threshold. It returns errNoWatched when no
+// watched benchmark is common to both files.
 func run(w io.Writer, oldPath, newPath string, watch, metrics []string, threshold, allocThreshold float64) (int, error) {
 	oldM, oldAborted, err := load(oldPath, metrics)
 	if os.IsNotExist(err) {
@@ -135,15 +173,19 @@ func run(w io.Writer, oldPath, newPath string, watch, metrics []string, threshol
 	}
 
 	names := make([]string, 0, len(newM))
+	nWatched := 0
 	for name := range newM {
 		if _, ok := oldM[name]; ok {
 			names = append(names, name)
+			if watched(name) {
+				nWatched++
+			}
 		}
 	}
 	sort.Strings(names)
 	if len(names) == 0 {
 		fmt.Fprintln(w, "benchdiff: no common benchmarks between the two files")
-		return 0, nil
+		return 0, errNoWatched
 	}
 
 	regressions := 0
@@ -176,7 +218,10 @@ func run(w io.Writer, oldPath, newPath string, watch, metrics []string, threshol
 	if regressions > 0 {
 		fmt.Fprintf(w, "benchdiff: %d watched metric(s) regressed beyond their threshold\n", regressions)
 	} else {
-		fmt.Fprintf(w, "benchdiff: no watched regressions beyond %.1fx (%.1fx for B/op and allocs/op)\n", threshold, allocThreshold)
+		fmt.Fprintf(w, "benchdiff: no watched regressions beyond %gx (%gx for B/op and allocs/op)\n", threshold, allocThreshold)
+	}
+	if nWatched == 0 {
+		return regressions, errNoWatched
 	}
 	return regressions, nil
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -182,5 +183,87 @@ func TestRunCustomMetrics(t *testing.T) {
 	}
 	if !strings.Contains(s, "marked aborted") {
 		t.Errorf("aborted candidate not called out:\n%s", s)
+	}
+}
+
+// TestRunMatchesGOMAXPROCSSuffix checks names carrying the "-N" suffix
+// `go test -bench` appends on multi-core hosts compare against bare
+// names, so a 10x B/op regression fails -strict instead of slipping
+// through as "no common benchmarks".
+func TestRunMatchesGOMAXPROCSSuffix(t *testing.T) {
+	oldPath := writeBench(t, "old.json", map[string]map[string]float64{
+		"BenchmarkTable3":                    {"ns/op": 100, "B/op": 1000, "allocs/op": 10},
+		"BenchmarkAblationWorkers/workers=2": {"ns/op": 100, "B/op": 1000},
+	})
+	newPath := writeBench(t, "new.json", map[string]map[string]float64{
+		"BenchmarkTable3-2":                    {"ns/op": 100, "B/op": 10000, "allocs/op": 10},
+		"BenchmarkAblationWorkers/workers=2-2": {"ns/op": 100, "B/op": 1000},
+	})
+	gate := []string{"B/op", "allocs/op"}
+	var out bytes.Buffer
+	regs, err := run(&out, oldPath, newPath, []string{"BenchmarkTable3"}, gate, 2.0, 1.25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := out.String()
+	if regs != 1 || !strings.Contains(s, "repro/BenchmarkTable3 B/op grew 10.00x") {
+		t.Errorf("10x B/op regression on a suffixed name: %d regressions\n%s", regs, s)
+	}
+	if !strings.Contains(s, "repro/BenchmarkAblationWorkers/workers=2 B/op") {
+		t.Errorf("suffixed sub-benchmark not compared:\n%s", s)
+	}
+	if got := status(regs, err, true); got != 1 {
+		t.Errorf("-strict exit status = %d, want 1", got)
+	}
+	if got := status(regs, err, false); got != 0 {
+		t.Errorf("advisory exit status = %d, want 0", got)
+	}
+}
+
+// TestRunNoCommonWatchedFailsStrict checks a gate that compares no
+// watched benchmark fails under -strict and stays advisory without it.
+func TestRunNoCommonWatchedFailsStrict(t *testing.T) {
+	oldPath := writeBench(t, "old.json", map[string]map[string]float64{
+		"BenchmarkTable3":    {"B/op": 1000},
+		"BenchmarkUnrelated": {"B/op": 1000},
+	})
+	newPath := writeBench(t, "new.json", map[string]map[string]float64{
+		"BenchmarkFigure2":     {"B/op": 1000},
+		"BenchmarkUnrelated-4": {"B/op": 1000},
+	})
+	var out bytes.Buffer
+	regs, err := run(&out, oldPath, newPath, []string{"BenchmarkTable3", "BenchmarkFigure2"}, defaults, 2.0, 1.25)
+	if !errors.Is(err, errNoWatched) {
+		t.Fatalf("run error = %v, want errNoWatched", err)
+	}
+	if !strings.Contains(out.String(), "BenchmarkUnrelated B/op") {
+		t.Errorf("common unwatched benchmark not compared:\n%s", out.String())
+	}
+	if got := status(regs, err, true); got != 1 {
+		t.Errorf("-strict exit status = %d, want 1", got)
+	}
+	if got := status(regs, err, false); got != 0 {
+		t.Errorf("advisory exit status = %d, want 0", got)
+	}
+}
+
+// TestRunSuffixCollision checks two entries that differ only in their
+// GOMAXPROCS suffix (a -cpu 1,2 run) are rejected rather than one
+// silently shadowing the other.
+func TestRunSuffixCollision(t *testing.T) {
+	oldPath := writeBench(t, "old.json", map[string]map[string]float64{
+		"BenchmarkTable3": {"B/op": 1000},
+	})
+	newPath := writeBench(t, "new.json", map[string]map[string]float64{
+		"BenchmarkTable3":   {"B/op": 1000},
+		"BenchmarkTable3-2": {"B/op": 1000},
+	})
+	var out bytes.Buffer
+	_, err := run(&out, oldPath, newPath, []string{"BenchmarkTable3"}, defaults, 2.0, 1.25)
+	if err == nil || errors.Is(err, errNoWatched) || !strings.Contains(err.Error(), "appears twice") {
+		t.Fatalf("colliding names: err = %v, want a duplicate-name error", err)
+	}
+	if got := status(0, err, false); got != 1 {
+		t.Errorf("exit status = %d, want 1 even without -strict", got)
 	}
 }

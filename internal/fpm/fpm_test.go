@@ -574,24 +574,49 @@ func BenchmarkGeneralizedUniverse(b *testing.B) {
 	}
 }
 
+// BenchmarkMineFPGrowthServe is the mining layer of one serve-warm
+// request: a 20k-row compas table with the false-positive-rate outcome,
+// its st=0.1 tree hierarchies plus flat categoricals, mined at s=0.05 on
+// one shard with the default worker count.
+func BenchmarkMineFPGrowthServe(b *testing.B) {
+	d := datagen.Compas(datagen.Config{N: 20_000, Seed: 1})
+	o := outcome.FalsePositiveRate(d.Actual, d.Predicted)
+	u := GeneralizedUniverse(d.Table, treeHierarchies(b, d.Table, o), o)
+	opt := Options{MinSupport: 0.05, Shards: 1}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := MineMulti(u, outcome.Single(o), opt); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // folktablesHierarchies generates an n-row folktables table (seed 1) with
 // its numeric income outcome, and the hierarchies the pipeline explores
-// it with: divergence trees at st=0.1 plus a flat hierarchy per
-// categorical column.
+// it with (see treeHierarchies).
 func folktablesHierarchies(tb testing.TB, n int) (*dataset.Table, *hierarchy.Set, *outcome.Outcome) {
 	tb.Helper()
 	d := datagen.Folktables(datagen.Config{N: n, Seed: 1})
 	o := outcome.Numeric("income", d.Target)
-	hs, err := discretize.TreeSet(d.Table, o, discretize.TreeOptions{MinSupport: 0.1})
+	return d.Table, treeHierarchies(tb, d.Table, o), o
+}
+
+// treeHierarchies returns the hierarchies the pipeline and the server
+// explore a table with: divergence trees at st=0.1 plus a flat hierarchy
+// per categorical column.
+func treeHierarchies(tb testing.TB, tab *dataset.Table, o *outcome.Outcome) *hierarchy.Set {
+	tb.Helper()
+	hs, err := discretize.TreeSet(tab, o, discretize.TreeOptions{MinSupport: 0.1})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	for _, f := range d.Table.Fields() {
+	for _, f := range tab.Fields() {
 		if f.Kind == dataset.Categorical {
-			hs.Add(hierarchy.FlatCategorical(d.Table, f.Name))
+			hs.Add(hierarchy.FlatCategorical(tab, f.Name))
 		}
 	}
-	return d.Table, hs, o
+	return hs
 }
 
 func benchUniverse(b *testing.B, n int) (*Universe, *outcome.Outcome) {
