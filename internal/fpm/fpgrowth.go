@@ -106,6 +106,9 @@ func (t *fpTree) child(parent, it int32) int32 {
 		}
 		prev, c = c, t.nodes[c].nextSib
 	}
+	if len(t.nodes) == cap(t.nodes) || len(t.agg) == cap(t.agg) || len(t.mx)+t.mxStride > cap(t.mx) {
+		t.grow(len(t.nodes))
+	}
 	n := int32(len(t.nodes))
 	t.nodes = append(t.nodes, fpNode{item: it, parent: parent, firstChild: -1, nextSib: c})
 	if prev < 0 {
@@ -124,6 +127,16 @@ func (t *fpTree) child(parent, it int32) int32 {
 	}
 	t.tails[p-1] = n
 	return n
+}
+
+// grow makes room for n more nodes in every slab. child calls it with n =
+// len(nodes) when a slab is full, doubling the slabs: append alone grows
+// a large slice by only 1.25×, so a growing tree copied itself about five
+// times over, most of a build's allocation.
+func (t *fpTree) grow(n int) {
+	t.nodes = slices.Grow(t.nodes, n)
+	t.agg = slices.Grow(t.agg, n)
+	t.mx = slices.Grow(t.mx, n*t.mxStride)
 }
 
 // insert adds a transaction (items already filtered to the tree's universe
@@ -169,10 +182,7 @@ func (t *fpTree) nodeMx(n int32) []stats.Moments {
 // slabs grow once up front by len(src.nodes)-1, an exact upper bound on
 // the nodes the merge can add, so no append inside child reallocates.
 func (t *fpTree) absorb(src *fpTree) {
-	add := len(src.nodes) - 1
-	t.nodes = slices.Grow(t.nodes, add)
-	t.agg = slices.Grow(t.agg, add)
-	t.mx = slices.Grow(t.mx, add*t.mxStride)
+	t.grow(len(src.nodes) - 1)
 	type frame struct{ dst, src int32 }
 	var stack []frame
 	push := func(dst, s int32) {
