@@ -295,12 +295,9 @@ type growScratch struct {
 	items   []int          // open Items slab
 }
 
-// beginBranch starts the running branch's range at the end of the open
-// emission chunk.
-func (sc *growScratch) beginBranch() { sc.setLo = len(sc.sets) }
-
 // endView closes acc's range of the open chunk as a full-capacity view,
-// so its itemsets stay put while later branches append behind it.
+// so its itemsets stay put while later branches append behind it, and
+// starts the next range at the chunk's end.
 func (sc *growScratch) endView(acc *fpLocal) {
 	if hi := len(sc.sets); hi > sc.setLo {
 		acc.sets = append(acc.sets, sc.sets[sc.setLo:hi:hi])
@@ -686,7 +683,6 @@ func mineFPGrowth(u *Universe, bun *outcome.Bundle, opt Options, minCount int, p
 	if err := engine.ParallelFor(nBranch, growWorkers, opt.Tracer, func(j int) {
 		idx := nBranch - 1 - j
 		sc := getScratch()
-		sc.beginBranch()
 		local(&locals[j], sc, tree, idx)
 		sc.endView(&locals[j])
 		// On a panic the scratch is simply dropped (its counters may be
