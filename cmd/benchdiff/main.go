@@ -84,15 +84,10 @@ func main() {
 // unusable input, and under -strict also for a watched regression or a
 // comparison with no watched benchmark in common; 0 otherwise.
 func status(regressions int, err error, strict bool) int {
-	switch {
-	case errors.Is(err, errNoWatched):
-		if strict {
-			return 1
-		}
-		return 0
-	case err != nil:
+	if err != nil && !errors.Is(err, errNoWatched) {
 		return 1
-	case strict && regressions > 0:
+	}
+	if strict && (regressions > 0 || err != nil) {
 		return 1
 	}
 	return 0
